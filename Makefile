@@ -14,7 +14,7 @@
 #                functions (the CI lint job runs this even when the unit
 #                tests are skipped)
 #   make bench   dispatch-decision, DES event-loop, journal
-#                (append + recovery-replay) and wire-codec
+#                (append, append→durable + recovery-replay) and wire-codec
 #                micro-benchmarks, recorded to BENCH_sched.json; fails if
 #                any dispatch-decision or wire encode/decode benchmark —
 #                including the fsync=off journaled twin —
@@ -67,7 +67,7 @@ escape-gate:
 bench:
 	@{ $(GO) test -bench BenchmarkDispatchDecision -benchmem -run '^$$' ./internal/core/ && \
 	   $(GO) test -bench 'BenchmarkEventLoop|BenchmarkScheduleCancel' -benchmem -run '^$$' ./internal/des/ && \
-	   $(GO) test -bench 'BenchmarkDispatchDecision|BenchmarkJournalAppend|BenchmarkRecoveryReplay' -benchmem -run '^$$' ./internal/journal/ && \
+	   $(GO) test -bench 'BenchmarkDispatchDecision|BenchmarkJournalAppend|BenchmarkJournalWaitDurable|BenchmarkRecoveryReplay' -benchmem -run '^$$' ./internal/journal/ && \
 	   $(GO) test -bench 'BenchmarkWireEncode|BenchmarkWireDecode' -benchmem -run '^$$' ./internal/wire/ ; } \
 	 | tee bench.out
 	$(GO) run ./cmd/benchjson -require-zero-allocs '^(BenchmarkDispatchDecision|BenchmarkWireEncode|BenchmarkWireDecode)' < bench.out > BENCH_sched.json

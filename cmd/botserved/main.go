@@ -25,7 +25,11 @@
 // With -data-dir set, every scheduler mutation is journaled (write-ahead
 // log + periodic snapshots) and a restart — graceful or SIGKILL — recovers
 // the complete pre-crash state: bags, queued and running tasks, worker
-// registrations, replica leases and stats counters.
+// registrations, replica leases and stats counters. -fsync batch (the
+// default; always is a synonym) acknowledges a submit or done report only
+// once its records are fsynced; the journal fsyncs as soon as a record is
+// pending and records arriving meanwhile share the next fsync. -fsync off
+// never fsyncs.
 //
 // With -shards N the dispatch plane splits into N independent scheduler
 // shards, each with its own lock and its own journal under -data-dir, so
@@ -80,7 +84,7 @@ func main() {
 		seed     = flag.Uint64("seed", 42, "seed for the Random policy")
 		grace    = flag.Duration("grace", 10*time.Second, "shutdown drain timeout")
 		dataDir  = flag.String("data-dir", "", "journal directory for crash recovery (empty: in-memory only)")
-		fsync    = flag.String("fsync", "batch", "journal durability: always, batch or off")
+		fsync    = flag.String("fsync", "batch", "journal durability: batch (acks wait for a group-committed fsync; always is a synonym) or off")
 		mtbf     = flag.Duration("snapshot-mtbf", 10*time.Minute, "expected crash interval driving the snapshot cadence")
 		shards   = flag.Int("shards", 1, "scheduler shards (independent lock + journal each)")
 		rebal    = flag.Duration("rebalance", time.Second, "cross-shard rebalance cadence for FairShare/LongIdle (negative: off)")

@@ -2,9 +2,11 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
+	"botgrid/internal/checkpoint"
 	"botgrid/internal/core"
 	"botgrid/internal/grid"
 	"botgrid/internal/rng"
@@ -83,6 +85,27 @@ func TestCellSeedsIndependent(t *testing.T) {
 	b := o.CellConfig(f1, 1000, core.RR, 0).Seed
 	if a != b {
 		t.Fatal("cell seeds are not reproducible")
+	}
+}
+
+// TestCellConfigDefaultsItself checks that a cell built from options that
+// were never defaulted is the cell RunSweep runs: with a zero Checkpoint
+// the arrival rate would otherwise be computed without checkpointing.
+func TestCellConfigDefaultsItself(t *testing.T) {
+	o := DefaultOptions(3)
+	if o.Checkpoint != (checkpoint.Config{}) {
+		t.Fatal("DefaultOptions sets Checkpoint; this test needs it unset")
+	}
+	d := o.withDefaults()
+	for _, f := range Figures {
+		for _, g := range d.Granularities {
+			for _, p := range d.Policies {
+				got, want := o.CellConfig(f, g, p, 1), d.CellConfig(f, g, p, 1)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%v/%v: CellConfig on undefaulted options\n%+v\nwant\n%+v", f.ID, g, p, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -186,8 +186,12 @@ func (o Options) GridConfig(f Figure) grid.Config {
 
 // CellConfig assembles the core.RunConfig for one (figure, granularity,
 // policy, replication) cell. Seeds mix the cell coordinates so that every
-// cell uses independent randomness while staying reproducible.
+// cell uses independent randomness while staying reproducible. Unset
+// options take their defaults first, so the cell is the one RunSweep runs
+// whether or not o was defaulted (the arrival rate depends on the
+// checkpoint configuration).
 func (o Options) CellConfig(f Figure, granularity float64, policy core.PolicyKind, rep int) core.RunConfig {
+	o = o.withDefaults()
 	gc := o.GridConfig(f)
 	lambda := workload.LambdaForUtilization(f.Util, o.AppSize(), core.EffectivePower(gc, o.Checkpoint))
 	return core.RunConfig{

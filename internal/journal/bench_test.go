@@ -1,6 +1,9 @@
 package journal
 
 import (
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"botgrid/internal/core"
@@ -71,12 +74,11 @@ func BenchmarkDispatchDecision(b *testing.B) {
 	}
 }
 
-// BenchmarkJournalAppend measures the append path per fsync mode: "off"
-// and "batch" enqueue without waiting (batch durability is paid by the
-// background syncer), "always" waits for the fsync each record — the
-// per-record durability ceiling.
+// BenchmarkJournalAppend measures the enqueue cost of Append per fsync
+// mode; durability is paid by the background syncer (see
+// BenchmarkJournalWaitDurable for the durable round trip).
 func BenchmarkJournalAppend(b *testing.B) {
-	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch, FsyncAlways} {
+	for _, mode := range []FsyncMode{FsyncOff, FsyncBatch} {
 		b.Run(mode.String(), func(b *testing.B) {
 			j, _, err := Open(Options{Dir: b.TempDir(), Fsync: mode})
 			if err != nil {
@@ -88,16 +90,50 @@ func BenchmarkJournalAppend(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				rec.Time = float64(i)
-				lsn, err := j.Append(&rec)
-				if err != nil {
+				if _, err := j.Append(&rec); err != nil {
 					b.Fatal(err)
 				}
-				if mode == FsyncAlways {
-					if err := j.WaitDurable(lsn); err != nil {
-						b.Fatal(err)
-					}
-				}
 			}
+		})
+	}
+}
+
+// BenchmarkJournalWaitDurable times append→durable in the durable mode
+// with 1 and 16 concurrent appenders, each waiting for its record before
+// appending the next. ns/op is wall time per durable record; records/fsync
+// is the group-commit batch the concurrency produced (1 for a lone
+// appender: each record gets its own fsync, with no timer in between).
+func BenchmarkJournalWaitDurable(b *testing.B) {
+	for _, appenders := range []int{1, 16} {
+		b.Run(fmt.Sprintf("appenders=%d", appenders), func(b *testing.B) {
+			j, _, err := Open(Options{Dir: b.TempDir(), Fsync: FsyncBatch})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer j.Close()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			for a := 0; a < appenders; a++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					rec := Record{Kind: KindWorkerSeen, Machine: 3}
+					for next.Add(1) <= int64(b.N) {
+						lsn, err := j.Append(&rec)
+						if err == nil {
+							err = j.WaitDurable(lsn)
+						}
+						if err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(j.Metrics().RecordsPerFsync, "records/fsync")
 		})
 	}
 }

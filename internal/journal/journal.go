@@ -11,46 +11,42 @@ import (
 )
 
 // FsyncMode selects the durability/latency trade-off of the append path.
+// The mode only shapes the running process; it is never persisted.
 type FsyncMode int
 
 const (
-	// FsyncBatch groups records that arrive within BatchDelay of each
-	// other into one fsync (group commit). The default: near-always
-	// durability at a small fraction of the per-record fsync cost.
+	// FsyncBatch is the durable mode and the default: WaitDurable returns
+	// only after the record is written and fsynced. Concurrent appenders
+	// share fsyncs (group commit paced by the fsync itself, no timer): the
+	// syncer flushes as soon as any record is pending, and records that
+	// arrive while a write+fsync is in flight ride the next one together.
 	FsyncBatch FsyncMode = iota
-	// FsyncAlways fsyncs as soon as any record is pending; callers never
-	// observe an acknowledged record lost to a crash.
-	FsyncAlways
 	// FsyncOff writes records to the OS without ever fsyncing. An OS
 	// crash can lose the tail; a process crash cannot. WaitDurable
 	// returns immediately in this mode.
 	FsyncOff
 )
 
-// ParseFsyncMode parses "always", "batch" or "off".
+// ParseFsyncMode parses "batch" or "off". "always" is accepted as a
+// synonym of "batch": with fsync-paced group commit a record waited on
+// alone already gets an fsync of its own as soon as it is appended.
 func ParseFsyncMode(s string) (FsyncMode, error) {
 	switch s {
-	case "always":
-		return FsyncAlways, nil
-	case "batch":
+	case "batch", "always":
 		return FsyncBatch, nil
 	case "off":
 		return FsyncOff, nil
 	default:
-		return FsyncBatch, fmt.Errorf("journal: unknown fsync mode %q (want always, batch or off)", s)
+		return FsyncBatch, fmt.Errorf("journal: unknown fsync mode %q (want batch, always or off)", s)
 	}
 }
 
 // String names the mode.
 func (m FsyncMode) String() string {
-	switch m {
-	case FsyncAlways:
-		return "always"
-	case FsyncOff:
+	if m == FsyncOff {
 		return "off"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 // Options configures a Journal.
@@ -62,9 +58,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
 	// Default 4 MiB.
 	SegmentBytes int64
-	// BatchDelay is the group-commit accumulation window in FsyncBatch
-	// mode. Default 2ms.
-	BatchDelay time.Duration
 	// SnapshotMTBF is the expected time between service crashes, the MTBF
 	// input to Young's formula for the snapshot cadence. Default 10min.
 	SnapshotMTBF time.Duration
@@ -77,9 +70,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
-	}
-	if o.BatchDelay <= 0 {
-		o.BatchDelay = 2 * time.Millisecond
 	}
 	if o.SnapshotMTBF <= 0 {
 		o.SnapshotMTBF = 10 * time.Minute
@@ -148,6 +138,10 @@ type Journal struct {
 	loopDone bool
 	loopExit chan struct{}
 
+	// flushHook, when set (tests only), runs on the syncer between the
+	// buffer swap and the write+fsync of every flush, without the lock.
+	flushHook func()
+
 	// Counters (see Metrics).
 	appends     uint64
 	fsyncs      uint64
@@ -165,7 +159,10 @@ type Journal struct {
 // final record), opens a fresh active segment, and starts the group-commit
 // syncer. The returned Recovered carries the replayed state; promote it
 // with core.RestoreLiveScheduler before appending new records.
-func Open(opts Options) (*Journal, *Recovered, error) {
+func Open(opts Options) (*Journal, *Recovered, error) { return open(opts, nil) }
+
+// open is Open with a flush hook installed before the syncer starts.
+func open(opts Options, flushHook func()) (*Journal, *Recovered, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
 		return nil, nil, errors.New("journal: Options.Dir is required")
@@ -264,6 +261,7 @@ func Open(opts Options) (*Journal, *Recovered, error) {
 		segFirst:   next,
 		lastSnapAt: start,
 		loopExit:   make(chan struct{}),
+		flushHook:  flushHook,
 	}
 	j.syncC = sync.NewCond(&j.mu)
 	j.doneC = sync.NewCond(&j.mu)
@@ -373,8 +371,8 @@ func EncodeRecordFramed(dst []byte, r *Record) []byte {
 }
 
 // WaitDurable blocks until record lsn is durable under the journal's
-// fsync mode: fsynced (always/batch), or merely accepted (off, returns
-// immediately). It returns the journal's fatal error, if any.
+// fsync mode: written and fsynced (batch), or merely accepted (off,
+// returns immediately). It returns the journal's fatal error, if any.
 func (j *Journal) WaitDurable(lsn uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -427,9 +425,12 @@ func (j *Journal) Close() error {
 	return j.err
 }
 
-// syncLoop is the group-commit syncer: it swaps out the pending buffer,
-// writes it to the active segment (rotating first when full), fsyncs per
-// the mode, and publishes the new durable LSN. One goroutine per journal.
+// syncLoop is the group-commit syncer: as soon as any record is pending it
+// swaps out the pending buffer, writes it to the active segment (rotating
+// first when full), fsyncs per the mode, and publishes the new durable LSN.
+// No timer paces it: records appended while a write+fsync is in flight
+// fill the other buffer and share the next fsync, so batches grow with the
+// load and a lone record pays one fsync. One goroutine per journal.
 func (j *Journal) syncLoop() {
 	j.mu.Lock()
 	for {
@@ -438,12 +439,6 @@ func (j *Journal) syncLoop() {
 		}
 		if j.err != nil || (j.closed && j.pendCount == 0) {
 			break
-		}
-		if j.opts.Fsync != FsyncAlways && !j.closed {
-			// Group commit: let more records pile in behind this flush.
-			j.mu.Unlock()
-			time.Sleep(j.opts.BatchDelay)
-			j.mu.Lock()
 		}
 		batch := j.pend
 		count := j.pendCount
@@ -455,6 +450,9 @@ func (j *Journal) syncLoop() {
 		rotate := j.segSize >= j.opts.SegmentBytes
 		j.mu.Unlock()
 
+		if j.flushHook != nil {
+			j.flushHook()
+		}
 		var err error
 		if rotate {
 			err = j.rotateSegment(first)

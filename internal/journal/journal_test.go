@@ -17,9 +17,8 @@ import (
 func testOptions(t *testing.T) Options {
 	t.Helper()
 	return Options{
-		Dir:        t.TempDir(),
-		Fsync:      FsyncOff, // unit tests don't need real fsyncs
-		BatchDelay: 100 * time.Microsecond,
+		Dir:   t.TempDir(),
+		Fsync: FsyncOff, // unit tests don't need real fsyncs
 	}
 }
 
@@ -300,8 +299,8 @@ func TestTrailingGarbageTruncated(t *testing.T) {
 
 func TestMidLogCorruptionRefused(t *testing.T) {
 	opts := testOptions(t)
-	opts.SegmentBytes = 64   // rotate after every couple of records
-	opts.Fsync = FsyncAlways // WaitDurable forces one flush per record
+	opts.SegmentBytes = 64  // rotate after every couple of records
+	opts.Fsync = FsyncBatch // WaitDurable forces one flush per record
 	j, _, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -342,7 +341,7 @@ func TestMidLogCorruptionRefused(t *testing.T) {
 func TestSnapshotRecoveryAndPruning(t *testing.T) {
 	opts := testOptions(t)
 	opts.SegmentBytes = 64
-	opts.Fsync = FsyncAlways // WaitDurable forces one flush per record
+	opts.Fsync = FsyncBatch // WaitDurable forces one flush per record
 	j, _, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -480,8 +479,14 @@ func TestCorruptSnapshotFallsBack(t *testing.T) {
 }
 
 func TestFsyncModes(t *testing.T) {
-	for _, mode := range []FsyncMode{FsyncAlways, FsyncBatch, FsyncOff} {
-		t.Run(mode.String(), func(t *testing.T) {
+	// "always" is a synonym of "batch"; both must still make every record
+	// durable and recoverable.
+	for _, name := range []string{"always", "batch", "off"} {
+		t.Run(name, func(t *testing.T) {
+			mode, err := ParseFsyncMode(name)
+			if err != nil {
+				t.Fatal(err)
+			}
 			opts := testOptions(t)
 			opts.Fsync = mode
 			j, _, err := Open(opts)
@@ -515,10 +520,13 @@ func TestFsyncModes(t *testing.T) {
 }
 
 func TestParseFsyncMode(t *testing.T) {
-	for _, s := range []string{"always", "batch", "off"} {
+	for s, want := range map[string]FsyncMode{"always": FsyncBatch, "batch": FsyncBatch, "off": FsyncOff} {
 		m, err := ParseFsyncMode(s)
-		if err != nil || m.String() != s {
+		if err != nil || m != want {
 			t.Fatalf("ParseFsyncMode(%q) = %v, %v", s, m, err)
+		}
+		if back, err := ParseFsyncMode(m.String()); err != nil || back != m {
+			t.Fatalf("mode %v does not round-trip through its name", m)
 		}
 	}
 	if _, err := ParseFsyncMode("sometimes"); err == nil {

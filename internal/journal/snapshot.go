@@ -184,9 +184,16 @@ func (j *Journal) WriteSnapshot(lsn uint64, st *State) error {
 	if err != nil {
 		return err
 	}
+	return j.WriteSnapshotImage(lsn, buf)
+}
+
+// WriteSnapshotImage is WriteSnapshot for an image EncodeSnapshot already
+// rendered for lsn, so a caller that also keeps the image (the replication
+// leader ships it to followers) encodes the state once.
+func (j *Journal) WriteSnapshotImage(lsn uint64, image []byte) error {
 	start := time.Now()
 	tmp := filepath.Join(j.dir, "snap.tmp")
-	if err := writeFileSync(tmp, buf); err != nil {
+	if err := writeFileSync(tmp, image); err != nil {
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(j.dir, snapName(lsn))); err != nil {

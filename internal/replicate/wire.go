@@ -60,21 +60,19 @@ func badFrame(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrBadFrame, fmt.Sprintf(format, args...))
 }
 
-// appendFrame renders a complete frame into dst.
-func appendFrame(dst []byte, typ byte, payload []byte) []byte {
-	dst = append(dst, typ)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
-	return append(dst, payload...)
+// putFrameHeader fills hdr (frameHeader bytes) for a frame carrying
+// payload.
+func putFrameHeader(hdr []byte, typ byte, payload []byte) {
+	hdr[0] = typ
+	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
 }
 
 // writeFrame sends one frame. Callers own buffering (a bufio.Writer per
 // connection) and flushing.
 func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	var hdr [frameHeader]byte
-	hdr[0] = typ
-	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[5:], crc32.ChecksumIEEE(payload))
+	putFrameHeader(hdr[:], typ, payload)
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
@@ -119,6 +117,17 @@ func appendEntryPayload(dst []byte, term, lsn uint64, r *journal.Record) []byte 
 	dst = binary.LittleEndian.AppendUint64(dst, term)
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	return journal.EncodeRecord(dst, r)
+}
+
+// appendEntryFrame renders a complete entry frame (term, LSN, record) into
+// dst in one buffer: the payload is encoded past a reserved frame header,
+// which is filled in afterwards.
+func appendEntryFrame(dst []byte, term, lsn uint64, r *journal.Record) []byte {
+	base := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	dst = appendEntryPayload(dst, term, lsn, r)
+	putFrameHeader(dst[base:base+frameHeader], msgEntry, dst[base+frameHeader:])
+	return dst
 }
 
 // decodeEntry parses an entry payload into its term, LSN and record. The

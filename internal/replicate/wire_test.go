@@ -2,7 +2,9 @@ package replicate
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -35,6 +37,32 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, _, _, err := readFrame(&buf, scratch); !errors.Is(err, io.EOF) {
 		t.Fatalf("drained stream: want EOF, got %v", err)
+	}
+}
+
+// appendFrame renders a complete frame into dst: the reference encoding
+// the streaming and one-buffer encoders are checked against.
+func appendFrame(dst []byte, typ byte, payload []byte) []byte {
+	dst = append(dst, typ)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
+}
+
+func TestEntryFrameMatchesReference(t *testing.T) {
+	recs := []journal.Record{
+		{Kind: journal.KindTaskCompleted, Time: 12.5, Bag: 3, Task: 7, Seq: 99},
+		{Kind: journal.KindBagSubmitted, Time: 1, Bag: 70000, Granularity: 1000, Works: make([]float64, 40)},
+		{Kind: journal.KindWorkerRegistered, Time: 2, Machine: 5, Worker: "worker-with-a-long-name", Power: 1.5},
+	}
+	for i := range recs {
+		want := appendFrame(nil, msgEntry, appendEntryPayload(nil, 4, 1234, &recs[i]))
+		if got := appendEntryFrame(nil, 4, 1234, &recs[i]); !bytes.Equal(got, want) {
+			t.Fatalf("%v: one-buffer entry frame differs:\n%x\n%x", recs[i].Kind, got, want)
+		}
+		if prefixed := appendEntryFrame([]byte("xy"), 4, 1234, &recs[i]); !bytes.Equal(prefixed[2:], want) {
+			t.Fatalf("%v: entry frame appended after a prefix differs", recs[i].Kind)
+		}
 	}
 }
 

@@ -121,6 +121,13 @@ func TestCrashingWorkersStillDrain(t *testing.T) {
 	defer ts.Close()
 	c := NewClient(ts.URL)
 
+	// Register every worker before the bag arrives, so the submission
+	// hands each one, crashers included, a task for its first fetch.
+	// Otherwise the other workers can drain the bag before a late crasher
+	// polls, and that crasher never crashes.
+	for i := 0; i < 12; i++ {
+		mustFetch(t, c, fmt.Sprintf("c%02d", i))
+	}
 	works := make([]float64, 40)
 	for i := range works {
 		works[i] = 10

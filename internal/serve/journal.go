@@ -129,7 +129,7 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 	}
 	sh.completed = slices.Clone(st.Completed)
 	for _, cb := range st.Completed {
-		sh.doneBags[cb.ID] = BagStatus{
+		sh.archive(cb.ID, BagStatus{
 			Bag:         sh.globalBag(cb.ID),
 			Granularity: cb.Granularity,
 			Tasks:       cb.Tasks,
@@ -138,14 +138,16 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 			Arrival:     cb.Arrival,
 			DoneAt:      cb.DoneAt,
 			Turnaround:  cb.DoneAt - cb.Arrival,
-		}
-		sh.bagIDs = append(sh.bagIDs, cb.ID)
+		})
 	}
 	for _, b := range sched.Bags() {
 		sh.bags[b.ID] = b
-		sh.bagIDs = append(sh.bagIDs, b.ID)
 	}
-	slices.Sort(sh.bagIDs) // local bag IDs are issued in submission order
+	for _, w := range sh.workers {
+		if w.m.Up() {
+			sh.live++
+		}
+	}
 	if len(st.Service) > 0 {
 		// Dispatch counters ride along in the snapshot's opaque service
 		// blob; best-effort — stats continuity never blocks recovery.
@@ -176,8 +178,9 @@ func (sh *shard) restore(rec *journal.Recovered, pol core.Policy) error {
 //botlint:holds mu
 func (sh *shard) journalMutation(m core.Mutation) {
 	if m.Kind == core.MutBagCompleted {
-		// The scheduler drops completed bags; archive the final status
-		// first so it survives both this process and restarts.
+		// The scheduler drops completed bags; keep their summary for
+		// snapshots so it survives restarts (bagDone, which runs next,
+		// archives the status for this process).
 		if b, ok := sh.bags[m.Bag]; ok {
 			sh.completed = append(sh.completed, journal.CompletedBag{
 				ID:          b.ID,
@@ -186,8 +189,6 @@ func (sh *shard) journalMutation(m core.Mutation) {
 				DoneAt:      b.DoneAt,
 				Tasks:       len(b.Tasks),
 			})
-			sh.doneBags[m.Bag] = sh.bagStatus(b)
-			delete(sh.bags, m.Bag)
 		}
 	}
 	r := journal.FromMutation(m)

@@ -22,6 +22,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -341,7 +343,7 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 	sh.g = g
 	sh.workers = make(map[string]*workerState)
 	sh.bags = make(map[int]*core.Bag)
-	sh.doneBags = make(map[int]BagStatus)
+	sh.doneBags = make(map[int]int)
 	if jnl != nil {
 		// Coarsen journaled lease renewals to an eighth of the lease: fine
 		// enough that recovered expiry deadlines are within tolerance,
@@ -357,6 +359,7 @@ func (s *Server) newShard(i, n int, jnl Log, rec *journal.Recovered) (*shard, er
 	} else {
 		sh.sched = core.NewLiveScheduler(s.clock, g, pol, cfg.Sched, cfg.Observer)
 	}
+	sh.sched.OnBagDone = sh.bagDone
 	return sh, nil
 }
 
@@ -713,6 +716,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		st.ReplicaFailures += p.replicaFailures
 		st.LeaseExpiries += p.met.LeaseExpiries
 		st.StaleReports += p.met.StaleReports
+		st.Bags = append(st.Bags, p.done...)
 		st.Bags = append(st.Bags, p.bags...)
 	}
 	sortBagStatuses(st.Bags)
@@ -803,11 +807,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // sortBagStatuses orders merged bag statuses by global ID (submission
 // order, matching the single-shard wire format).
 func sortBagStatuses(bags []BagStatus) {
-	for i := 1; i < len(bags); i++ {
-		for j := i; j > 0 && bags[j].Bag < bags[j-1].Bag; j-- {
-			bags[j], bags[j-1] = bags[j-1], bags[j]
-		}
-	}
+	slices.SortFunc(bags, func(a, b BagStatus) int { return cmp.Compare(a.Bag, b.Bag) })
 }
 
 // readJSON decodes a small JSON body; an empty body decodes to the zero

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -30,11 +31,21 @@ func (c *fakeClock) advance(d float64) {
 // newTestServer wires a server (fake clock, long wall lease so the
 // background sweeper never interferes) and a client over httptest.
 // checkInvariants runs the scheduler's internal consistency checks on
-// every shard, one shard lock at a time.
+// every shard, one shard lock at a time, and checks the shard's
+// incrementally kept live-worker count against a walk of its workers.
 func checkInvariants(s *Server) {
 	for _, sh := range s.shards {
 		sh.mu.Lock()
 		sh.sched.CheckInvariants()
+		live := 0
+		for _, w := range sh.workers {
+			if w.m.Up() {
+				live++
+			}
+		}
+		if live != sh.live {
+			panic(fmt.Sprintf("shard %d: live count %d, %d workers up", sh.idx, sh.live, live))
+		}
 		sh.mu.Unlock()
 	}
 }
@@ -189,6 +200,7 @@ func TestLeaseExpiryKillsReplicaAndResubmits(t *testing.T) {
 	if stats.ReplicaFailures != 1 || stats.PendingTasks != 1 || stats.LiveWorkers != 0 {
 		t.Fatalf("post-expiry stats %+v", stats)
 	}
+	checkInvariants(s)
 
 	// The worker comes back: its late report is stale, but the revived
 	// slot immediately receives the resubmitted task again.
@@ -200,9 +212,10 @@ func TestLeaseExpiryKillsReplicaAndResubmits(t *testing.T) {
 		t.Fatalf("post-revival fetch = %+v", r2.Assignment)
 	}
 	mustReport(t, c, "w1", r2.Assignment.Replica, StatusDone)
-	if stats, _ = c.Stats(); stats.BagsCompleted != 1 || stats.LeaseExpiries != 1 {
+	if stats, _ = c.Stats(); stats.BagsCompleted != 1 || stats.LeaseExpiries != 1 || stats.LiveWorkers != 1 {
 		t.Fatalf("final stats %+v", stats)
 	}
+	checkInvariants(s)
 }
 
 func TestHeartbeatRenewsLease(t *testing.T) {

@@ -63,11 +63,13 @@ type shard struct {
 	//botlint:guarded-by mu
 	workers map[string]*workerState
 	//botlint:guarded-by mu
-	bags map[int]*core.Bag // live bags by local ID; bags finished pre-recovery are only in doneBags
+	bags map[int]*core.Bag // active bags by local ID; completed ones move to done
 	//botlint:guarded-by mu
-	bagIDs []int // local IDs in submission order, completed included
+	done []BagStatus // completed bags' final statuses (global IDs inside), in completion order
 	//botlint:guarded-by mu
-	doneBags map[int]BagStatus // frozen snapshots (global IDs inside); a completed bag never changes
+	doneBags map[int]int // local ID -> index in done
+	//botlint:guarded-by mu
+	live int // registered workers whose slot is up
 	//botlint:guarded-by mu
 	met counters
 	//botlint:guarded-by mu
@@ -85,7 +87,6 @@ func (sh *shard) submit(granularity float64, works []float64) (SubmitResponse, u
 	sh.mu.Lock()
 	b := sh.sched.Submit(granularity, works)
 	sh.bags[b.ID] = b
-	sh.bagIDs = append(sh.bagIDs, b.ID)
 	sh.met.Submits++
 	wait := sh.lastLSN
 	sh.mu.Unlock()
@@ -128,7 +129,18 @@ func (sh *shard) revive(w *workerState) {
 	if !w.m.Up() {
 		w.m.ForceRepair(sh.clock.Now())
 		sh.sched.MachineRepaired(w.m)
+		sh.live++
 	}
+}
+
+// slotDown fails an up worker's slot out of the grid: its replica is
+// killed and its task resubmitted.
+//
+//botlint:holds mu
+func (sh *shard) slotDown(w *workerState, now float64) {
+	w.m.ForceFail(now)
+	sh.sched.MachineFailed(w.m)
+	sh.live--
 }
 
 // fetch serves one worker poll: lease renewal, registration on first
@@ -192,8 +204,7 @@ func (sh *shard) report(id string, req ReportRequest) (ack string, wait uint64, 
 		case StatusFailed:
 			// A worker-reported failure gets the paper's machine-failure
 			// treatment (kill + resubmit), then the slot rejoins the pool.
-			ws.m.ForceFail(now)
-			sh.sched.MachineFailed(ws.m)
+			sh.slotDown(ws, now)
 			sh.revive(ws)
 			sh.met.ReportsFailed++
 		}
@@ -226,33 +237,39 @@ func (sh *shard) heartbeat(id string, replica uint64) (ack string, found bool) {
 	return ack, true
 }
 
-// bagStatusLocal returns the status of the bag with the given local ID.
+// bagStatusLocal returns the status of the bag with the given local ID:
+// archived when complete, snapshotted from the scheduler while active.
 func (sh *shard) bagStatusLocal(local int) (BagStatus, bool) {
 	sh.mu.Lock()
-	st, ok := sh.bagStatusByID(local)
-	sh.mu.Unlock()
-	return st, ok
-}
-
-// bagStatusByID returns the bag's status, serving completed bags from the
-// frozen-snapshot cache (a completed bag never changes, so its snapshot is
-// computed at most once; bags finished before a recovery only exist
-// there).
-//
-//botlint:holds mu
-func (sh *shard) bagStatusByID(local int) (BagStatus, bool) {
-	if bs, ok := sh.doneBags[local]; ok {
-		return bs, true
+	defer sh.mu.Unlock()
+	if i, ok := sh.doneBags[local]; ok {
+		return sh.done[i], true
 	}
 	b, ok := sh.bags[local]
 	if !ok {
 		return BagStatus{}, false
 	}
-	bs := sh.bagStatus(b)
-	if bs.Completed {
-		sh.doneBags[local] = bs
-	}
-	return bs, true
+	return sh.bagStatus(b), true
+}
+
+// bagDone is the scheduler's OnBagDone hook: it archives the completed
+// bag's final status (a completed bag never changes) and forgets the bag.
+// Runs under mu, inside the scheduler call that completed the bag.
+//
+//botlint:holds mu
+func (sh *shard) bagDone(b *core.Bag) {
+	sh.archive(b.ID, sh.bagStatus(b))
+	delete(sh.bags, b.ID)
+}
+
+// archive appends a completed bag's status to done. done is append-only
+// and its entries are never rewritten, so a prefix taken under mu stays
+// valid to read after mu is released.
+//
+//botlint:holds mu
+func (sh *shard) archive(local int, bs BagStatus) {
+	sh.doneBags[local] = len(sh.done)
+	sh.done = append(sh.done, bs)
 }
 
 // bagStatus snapshots b, translating its local ID to the global one.
@@ -287,8 +304,7 @@ func (sh *shard) expireLeases() int {
 	n := 0
 	for _, w := range sh.workers {
 		if w.m.Up() && now-w.lastSeen > lease {
-			w.m.ForceFail(now)
-			sh.sched.MachineFailed(w.m)
+			sh.slotDown(w, now)
 			sh.met.LeaseExpiries++
 			n++
 		}
@@ -315,8 +331,7 @@ func (sh *shard) releaseIfIdle(id string) bool {
 		return false // mid-computation: the lease must finish or expire first
 	}
 	if w.m.Up() {
-		w.m.ForceFail(sh.clock.Now())
-		sh.sched.MachineFailed(w.m)
+		sh.slotDown(w, sh.clock.Now())
 	}
 	w.released = true
 	sh.release()
@@ -353,7 +368,9 @@ func (sh *shard) pinnedWorkers() map[string]float64 {
 
 // shardPartial is one shard's contribution to /v1/stats and /metrics,
 // captured under that shard's lock alone and merged by the router outside
-// any lock.
+// any lock. The bag list comes in two unsorted parts: done, a prefix of
+// the shard's append-only archive of completed bags (shared, read-only),
+// and bags, the active bags' statuses.
 type shardPartial struct {
 	workers, live, free, pending, running int
 	bagsSubmitted, bagsCompleted          int
@@ -362,17 +379,20 @@ type shardPartial struct {
 	replicaFailures                       int
 	activeBags                            int
 	met                                   counters
-	bags                                  []BagStatus
+	done, bags                            []BagStatus
 	journal                               *journal.Metrics
 }
 
-// partial snapshots the shard's stats. withBags controls whether the full
-// per-bag status list is built (stats wants it, metrics does not).
+// partial snapshots the shard's stats. withBags controls whether the
+// per-bag statuses are taken (stats wants them, metrics does not). The
+// lock is held for O(active bags): counters are kept incrementally and
+// completed bags' statuses are frozen, so only a prefix of them is taken.
 func (sh *shard) partial(withBags bool) shardPartial {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	p := shardPartial{
 		workers:         len(sh.workers),
+		live:            sh.live,
 		free:            sh.sched.FreeMachines(),
 		pending:         sh.sched.PendingTasks(),
 		running:         sh.sched.RunningReplicas(),
@@ -385,17 +405,12 @@ func (sh *shard) partial(withBags bool) shardPartial {
 		activeBags:      len(sh.sched.Bags()),
 		met:             sh.met,
 	}
-	for _, ws := range sh.workers {
-		if ws.m.Up() {
-			p.live++
-		}
-	}
 	if withBags {
-		p.bags = make([]BagStatus, 0, len(sh.bagIDs))
-		for _, id := range sh.bagIDs {
-			if bs, ok := sh.bagStatusByID(id); ok {
-				p.bags = append(p.bags, bs)
-			}
+		p.done = sh.done[:len(sh.done):len(sh.done)]
+		active := sh.sched.Bags()
+		p.bags = make([]BagStatus, len(active))
+		for i, b := range active {
+			p.bags[i] = sh.bagStatus(b)
 		}
 	}
 	if sh.jnl != nil {
